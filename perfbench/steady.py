@@ -1,11 +1,10 @@
 #!/usr/bin/env python3
 """Run one workload several times and summarise each metric's spread.
 
-    python3 perfbench/steady.py --workload encode_fp32 [--runs 10] [--seconds 20]
-                                [--trace 0|1] [--first-seed 1]
+    python3 perfbench/steady.py --workload encode_fp32 [--runs 10] [--trace 0|1]
                                 [--against <other checkout>]
 
-Each run uses its own seed (first-seed, first-seed + 1, ...). For every
+Run i uses seed i (1..N) and lasts BENCHMARK.json's run_seconds. For every
 metric it prints the median, the first and third quartiles (Python's
 statistics.quantiles, n=4) and the quartile spread as a share of the
 median, next to the metric's bound from BENCHMARK.json.
@@ -45,9 +44,7 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--workload", required=True)
     ap.add_argument("--runs", type=int, default=10)
-    ap.add_argument("--seconds", type=float)
     ap.add_argument("--trace", type=int, choices=[0, 1], default=0)
-    ap.add_argument("--first-seed", type=int, default=1)
     ap.add_argument("--against")
     a = ap.parse_args()
     if a.runs < 2:
@@ -55,7 +52,7 @@ def main():
     here = os.path.dirname(HERE)
     with open(os.path.join(here, "BENCHMARK.json")) as f:
         spec = json.load(f)
-    seconds = a.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
     metrics = spec["per_layer" if a.trace else "end_to_end"]
     sides = {"this": here}
     if a.against:
@@ -63,7 +60,7 @@ def main():
 
     results = {s: [] for s in sides}
     for i in range(a.runs):
-        seed = a.first_seed + i
+        seed = i + 1
         order = list(sides) if i % 2 == 0 else list(reversed(sides))
         for side in order:
             r = run(sides[side], a.workload, seed, seconds, a.trace)
