@@ -83,7 +83,6 @@
 #include "runtime/multi_head_attention.h"
 #include "runtime/thread_pool.h"
 #include "sparse/csr.h"
-#include "tensor/batch.h"
 #include "tensor/gemm.h"
 #include "tensor/matrix.h"
 #include "tensor/ragged_batch.h"
@@ -285,32 +284,36 @@ main(int argc, char **argv)
             vs.push_back(Matrix::randn(cfg.tokens, cfg.dModel, rng));
         }
 
-        // The inputs depend only on (model, batch); build each sliced
-        // view once instead of re-copying it per kernel.
+        // The inputs depend only on (model, batch); pack each batch of
+        // equal-length images once instead of re-copying it per kernel.
         struct BatchInputs
         {
             size_t batch;
-            Batch q, k, v;
+            RaggedBatch q, k, v;
+        };
+        const auto pack = [](const std::vector<Matrix> &imgs,
+                             size_t batch) {
+            std::vector<const Matrix *> ptrs;
+            for (size_t b = 0; b < batch; ++b)
+                ptrs.push_back(&imgs[b]);
+            return RaggedBatch::fromMatrices(ptrs.data(), batch);
         };
         std::vector<BatchInputs> inputs;
         for (size_t batch : batchSizes) {
-            inputs.push_back(
-                {batch,
-                 Batch::fromMatrices(std::vector<Matrix>(
-                     qs.begin(), qs.begin() + batch)),
-                 Batch::fromMatrices(std::vector<Matrix>(
-                     ks.begin(), ks.begin() + batch)),
-                 Batch::fromMatrices(std::vector<Matrix>(
-                     vs.begin(), vs.begin() + batch))});
+            inputs.push_back({batch, pack(qs, batch), pack(ks, batch),
+                              pack(vs, batch)});
         }
 
         // Single-image end-to-end encoder rows: the 12-layer dense path
         // (fused-epilogue QKV/output/MLP GEMMs, pool row bands) plus
         // attention — the stages the MHA-only rows never touch. Keyed
         // as kernel "Encoder(<name>)" at batch 1, so the regression
-        // gate tracks the dense path separately.
+        // gate tracks the dense path separately. These rows and the
+        // PlannedEncoder rows below pin keep 1.0, so an ambient
+        // VITALITY_TOKENS cannot prune them under unpruned op counts.
+        const VitConfig unpruned = cfg.withTokenKeep(1.0f);
         for (AttentionType type : encoderKernels) {
-            VitEncoder encoder(cfg, makeAttention(type), 0x5eed);
+            VitEncoder encoder(unpruned, makeAttention(type), 0x5eed);
             Matrix out;
             encoder.forwardInto(qs[0], pool, out); // warmup
             std::vector<double> laps(static_cast<size_t>(reps));
@@ -408,10 +411,10 @@ main(int argc, char **argv)
                        res.imagesPerSec, res.gflopsPerSec);
             };
 
-            VitEncoder eagerEnc(cfg,
+            VitEncoder eagerEnc(unpruned,
                                 makeAttention(AttentionType::Taylor),
                                 0x5eed);
-            VitEncoder plannedEnc(cfg,
+            VitEncoder plannedEnc(unpruned,
                                   makeAttention(AttentionType::Taylor),
                                   0x5eed);
             PlanOptions uniform;
@@ -433,7 +436,7 @@ main(int argc, char **argv)
             pushPlanned("prepack=off", 0, "", offLaps, eagerEnc);
             pushPlanned("prepack=on", 1, "", onLaps, plannedEnc);
 
-            VitEncoder hybridEnc(cfg,
+            VitEncoder hybridEnc(unpruned,
                                  makeAttention(AttentionType::Taylor),
                                  0x5eed);
             PlanOptions heteroOpts;
@@ -521,17 +524,14 @@ main(int argc, char **argv)
 
             for (const BatchInputs &in : inputs) {
                 const size_t batch = in.batch;
-                const Batch &q = in.q;
-                const Batch &k = in.k;
-                const Batch &v = in.v;
-
-                Batch out;
-                mha.forwardBatchInto(pool, q, k, v, out); // warmup
+                RaggedBatch out;
+                mha.forwardRaggedInto(pool, in.q, in.k, in.v,
+                                      out); // warmup
 
                 std::vector<double> laps(static_cast<size_t>(reps));
                 for (int r = 0; r < reps; ++r) {
                     const double t0 = nowMs();
-                    mha.forwardBatchInto(pool, q, k, v, out);
+                    mha.forwardRaggedInto(pool, in.q, in.k, in.v, out);
                     laps[static_cast<size_t>(r)] = nowMs() - t0;
                 }
                 double mean_ms = 0.0;

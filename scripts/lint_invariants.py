@@ -4,7 +4,8 @@
 Checks (each violation is reported as file:line and fails the run):
 
   1. forwardInto / *Into hot-path bodies in the attention, runtime, and
-     model layers perform no heap allocation: no `new`, `malloc`,
+     model layers, and the encoder's layer loop (runLayers) that its
+     forward*Into entry points share, perform no heap allocation: no `new`, `malloc`,
      `make_shared` / `make_unique`, and no container growth
      (`push_back` / `emplace_back`) inside the function body. The
      steady-state zero-allocation contract is *tested* by
@@ -135,10 +136,11 @@ def line_of(text, offset):
 # --- Rule 1: allocation tokens in *Into hot-path bodies -----------------
 
 HOT_DIRS = ("attention", "runtime", "model")
-# Matches the start of an Into-method definition at a line beginning
-# (the repo style puts the return type on its own line, so the method
-# name starts a line).
-INTO_DEF = re.compile(r"^[A-Za-z_][\w:]*::(\w*Into)\s*\(", re.M)
+# Matches the start of an Into-method (or the encoder's shared layer
+# loop) definition at a line beginning (the repo style puts the return
+# type on its own line, so the method name starts a line).
+INTO_DEF = re.compile(r"^[A-Za-z_][\w:]*::(\w*Into|runLayers)\s*\(",
+                      re.M)
 
 
 def check_hot_path_allocations():

@@ -29,14 +29,13 @@ struct VitConfig
     size_t mlpHidden;  ///< MLP hidden width (4 x dModel for DeiT).
 
     /**
-     * Per-layer token keep-ratio schedule for the ragged forward path:
+     * Per-layer token keep-ratio schedule every forward applies:
      * after running layer l, the token pruner keeps tokenKeep[l] of
      * each image's non-CLS tokens (ranked by CLS-attention mass; see
      * model/token_pruner.h). Empty (the default) defers to the global
      * VITALITY_TOKENS knob expanded over the default staged schedule;
      * non-empty must have exactly `layers` entries in (0, 1]
-     * (validate() enforces this). 1.0 entries prune nothing. The
-     * uniform Batch/Matrix forward paths ignore the schedule entirely.
+     * (validate() enforces this). 1.0 entries prune nothing.
      */
     std::vector<float> tokenKeep;
 

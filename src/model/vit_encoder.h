@@ -12,14 +12,19 @@
  * sparse, unified, ...) can be swapped in end-to-end. Every dense stage
  * (QKV/output projections, MLP) is a single fused GEMM call: bias adds,
  * the tanh-GELU, and the residual adds ride the GEMM epilogue
- * (tensor/gemm.h) instead of re-walking the activations, and the
- * single-image path additionally fans row bands of each GEMM across the
- * pool. forwardBatch runs
- * the same program over B images at once, fanning both the dense stages
- * (per image) and the attention (per image x head) across the pool. Weights are
- * randomly initialized (the repo reproduces the paper's compute and
- * accuracy *structure*, not trained checkpoints); everything is seeded,
- * so runs are bit-reproducible.
+ * (tensor/gemm.h) instead of re-walking the activations.
+ *
+ * There is one per-layer loop, over a RaggedBatch
+ * (tensor/ragged_batch.h): B images of any token counts in one
+ * contiguous buffer, pruned between layers by the token-keep schedule.
+ * The dense stages run over the whole buffer and fan GEMM row bands
+ * across the pool; attention fans B x heads work items. A single-image
+ * forward() is the B = 1 case of that loop, and a batch of equal token
+ * counts is the case where every count matches.
+ *
+ * Weights are randomly initialized (the repo reproduces the paper's
+ * compute and accuracy *structure*, not trained checkpoints);
+ * everything is seeded, so runs are bit-reproducible.
  *
  * The op-count rollup reproduces the paper's model-level GFLOPs
  * accounting: the attention contribution is exactly the kernel's
@@ -40,10 +45,8 @@
 #include "model/vit_config.h"
 #include "runtime/multi_head_attention.h"
 #include "runtime/thread_pool.h"
-#include "tensor/batch.h"
 #include "tensor/quantized_matrix.h"
 #include "tensor/ragged_batch.h"
-#include "tensor/workspace.h"
 
 namespace vitality {
 
@@ -110,12 +113,11 @@ class VitEncoder
      * Compile and attach an execution plan (model/encoder_plan.h):
      * prepacks every dense-stage weight into the microkernel panel
      * layout, freezes the per-layer kernel/keep schedule, pre-grows
-     * the workspace arena and activation buffers to the plan's
-     * (maxBatch, maxTokens) high-water mark, and — for heterogeneous
-     * schedules — builds one MultiHeadAttention per layer. Subsequent
-     * forward/forwardBatch/forwardRagged calls execute through the
-     * plan; with a uniform schedule they are bitwise-identical to
-     * eager execution (test-asserted). Replaces any previous plan.
+     * the activation buffers to the plan's (maxBatch, maxTokens)
+     * high-water mark, and — for heterogeneous schedules — builds one
+     * MultiHeadAttention per layer. Subsequent forward/forwardRagged
+     * calls execute through the plan; with a uniform schedule they are
+     * bitwise-identical to eager execution (test-asserted). Replaces any previous plan.
      * Throws std::invalid_argument on malformed options and leaves the
      * encoder unplanned.
      */
@@ -131,39 +133,20 @@ class VitEncoder
     void clearPlan();
 
     /**
-     * Run the full encoder stack.
+     * Run the full encoder stack over one image: the one-image case of
+     * forwardRaggedInto, so it honours the same token-keep schedule.
      *
-     * @param x Token embeddings, tokens x dModel.
-     * @param pool Pool the per-layer attention heads fan out across.
-     * @param out Resized to tokens x dModel. All tensor storage
-     * (activations, attention scratch) is recycled after the first
-     * call; only the per-layer head dispatch still makes a few small
-     * control-block allocations (task closures, loop state).
+     * @param x Token embeddings, any rows >= 1 x dModel.
+     * @param pool Pool the dense row bands and attention heads fan
+     * across.
+     * @param out Resized to the SURVIVING tokens x dModel (x's rows
+     * when the schedule keeps everything). Runs in the same recycled
+     * buffers as forwardRaggedInto, so the steady state is
+     * allocation-free.
      */
     void forwardInto(const Matrix &x, ThreadPool &pool, Matrix &out);
 
     Matrix forward(const Matrix &x, ThreadPool &pool);
-
-    /**
-     * Run the full encoder stack over a batch of B images.
-     *
-     * Per layer the dense stages (layer norms, QKV/output projections,
-     * MLP) are fanned across the pool one image per task, and the
-     * attention dispatch fans B x heads work items, which is what keeps
-     * a wide pool busy at small head counts. Per-image activation
-     * buffers are recycled across calls (Batch::resize semantics), and
-     * each pool worker runs attention through its own recycled
-     * AttentionContext, so the steady state stays allocation-free.
-     *
-     * @param x Batch of B token-embedding matrices, tokens x dModel.
-     * @param pool Pool the (image, head) work items fan out across.
-     * @param out Resized to B x tokens x dModel; must not alias x.
-     * Image b is bitwise-identical to forwardInto(x[b], ...) — the
-     * per-image float program is unchanged, only the scheduling differs.
-     */
-    void forwardBatchInto(const Batch &x, ThreadPool &pool, Batch &out);
-
-    Batch forwardBatch(const Batch &x, ThreadPool &pool);
 
     /**
      * Run the full encoder stack over a ragged batch of mixed
@@ -183,10 +166,9 @@ class VitEncoder
      * (TokenPruner::buildSchedule). out's per-image row counts are the
      * SURVIVING token counts, which may be smaller than the input's.
      *
-     * Parity contract (test-asserted): with an all-1.0 schedule the
-     * pruner never runs and image i of out is bitwise-identical to
-     * forwardInto(x[i]) / the uniform forwardBatch path; any image's
-     * result is bitwise-independent of what it shares the batch with.
+     * Parity contract (test-asserted): any image's result is
+     * bitwise-independent of what it shares the batch with, so image i
+     * of out equals forwardInto on that image alone.
      *
      * @param x Ragged batch; cols must equal dModel, any rows >= 1.
      * @param pool Pool dense row bands and attention items fan across.
@@ -216,6 +198,13 @@ class VitEncoder
     OpCounts opCounts() const;
 
   private:
+    /**
+     * The per-layer loop, in place on rx_: validates it, resolves the
+     * keep schedule, and runs every layer with pruning in between.
+     * Callers hold the CallGuard and fill rx_ first.
+     */
+    void runLayers(ThreadPool &pool);
+
     /** Build qlayers_ from layers_ if not already cached. */
     void ensureQuantizedWeights();
 
@@ -229,18 +218,13 @@ class VitEncoder
     /** Lazily-built INT8 weight cache, empty until the first int8
      * forward (see QuantizedLayerWeights). */
     std::vector<QuantizedLayerWeights> qlayers_;
-    Workspace ws_;
     /**
-     * Per-image batch activations, recycled across forwardBatch calls.
-     * The old projection scratch is gone: output and MLP projections
-     * accumulate straight into bx_ through the fused GEMM epilogue.
-     */
-    Batch bx_, bnormed_, bq_, bk_, bv_, battn_, bhidden_;
-    /**
-     * Ragged-path activations, recycled across forwardRagged calls.
-     * rx_/rq_/rk_/rv_/rattn_ carry the per-image structure (attention
-     * needs the boundaries); rnormed_/rhidden_ are plain buffers the
-     * row-independent dense stages run over.
+     * Activations, recycled across forward calls. rx_ holds the
+     * residual stream the layer loop runs in place on (forwardInto
+     * packs its one image here too); rx_/rq_/rk_/rv_/rattn_ carry the
+     * per-image structure (attention needs the boundaries);
+     * rnormed_/rhidden_ are plain buffers the row-independent dense
+     * stages run over.
      */
     RaggedBatch rx_, rq_, rk_, rv_, rattn_;
     Matrix rnormed_, rhidden_;
@@ -263,7 +247,7 @@ class VitEncoder
     std::vector<std::unique_ptr<MultiHeadAttention>> planMha_;
     /**
      * Set while a forward entry point is executing; the activation
-     * buffers above (and ws_) are shared per instance, so a concurrent
+     * buffers above are shared per instance, so a concurrent
      * same-instance call throws std::logic_error instead of silently
      * corrupting them (same contract as MultiHeadAttention).
      */

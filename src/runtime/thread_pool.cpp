@@ -48,9 +48,10 @@ ThreadPool::ThreadPool(size_t num_threads)
         workers_.emplace_back([this, w] { workerLoop(w); });
 
     // The newest pool becomes the process's intra-GEMM runner. Width 1
-    // from a worker thread keeps nested GEMMs sequential (image-level
-    // parallelism wins in the batched path); Gemm additionally applies
-    // the VITALITY_THREADS cap and its size heuristic.
+    // from a worker thread keeps nested GEMMs sequential (the
+    // (image, head) attention items already fill the pool); Gemm
+    // additionally applies the VITALITY_THREADS cap and its size
+    // heuristic.
     //
     // The closures capture `state`, never `this`: a multiply can hold a
     // snapshot of this runner past the pool's destruction (see

@@ -13,12 +13,12 @@
  *
  * Intra-GEMM parallelism: the most recently constructed live pool
  * serves as the Gemm parallel runner (tensor/gemm.h), so dense GEMMs
- * issued from non-worker threads — the single-image encoder path — fan
+ * issued from non-worker threads — the encoder's dense stages — fan
  * microkernel-aligned row bands across the workers. The runner reports
- * width 1 from inside a pool task (any pool's), which is the heuristic
- * that keeps the batched path on image-level parallelism: a GEMM inside
- * a per-image task runs sequentially instead of oversubscribing the
- * pool or deadlocking on nested parallelFor.
+ * width 1 from inside a pool task (any pool's), which keeps the
+ * attention items on (image, head) parallelism: a GEMM inside a pool
+ * task runs sequentially instead of oversubscribing the pool or
+ * deadlocking on nested parallelFor.
  *
  * Destruction ordering: ~ThreadPool first hands the runner role to the
  * newest remaining live pool (or un-installs it), then *blocks until

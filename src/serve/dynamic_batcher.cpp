@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "base/logging.h"
-#include "model/request_batch.h"
 
 namespace vitality {
 
@@ -150,7 +149,6 @@ DynamicBatcher::dispatchLoop()
 void
 DynamicBatcher::runBatch(std::vector<Pending> &batch)
 {
-    const auto dispatchStart = std::chrono::steady_clock::now();
     try {
         inputPtrs_.clear();
         uint64_t batchTokens = 0;
@@ -160,14 +158,18 @@ DynamicBatcher::runBatch(std::vector<Pending> &batch)
         }
         // Ragged pack: requests keep their own token counts. A uniform
         // batch is just the special case where every count matches.
-        packRequests(packed_, inputPtrs_.data(), inputPtrs_.size());
+        packed_.packFrom(inputPtrs_.data(), inputPtrs_.size());
+        std::chrono::steady_clock::time_point computeStart;
         {
             // Pinned options install under the process-wide gate; the
             // guard's destructor restores the prior mode before the
-            // gate releases. No options + no gate = no locking.
+            // gate releases. No options + no gate = no locking. The
+            // compute clock starts once the gate is held, so the wait
+            // for another model's forward counts as queueing.
             std::unique_lock<std::mutex> gate;
             if (dispatchGate_)
                 gate = std::unique_lock<std::mutex>(*dispatchGate_);
+            computeStart = std::chrono::steady_clock::now();
             if (!options_.empty()) {
                 RuntimeOptions::Scoped scoped(options_);
                 encoder_.forwardRaggedInto(packed_, pool_, encoded_);
@@ -176,7 +178,7 @@ DynamicBatcher::runBatch(std::vector<Pending> &batch)
             }
         }
         const auto done = std::chrono::steady_clock::now();
-        const double computeMs = msBetween(dispatchStart, done);
+        const double computeMs = msBetween(computeStart, done);
 
         batches_.fetch_add(1, std::memory_order_relaxed);
         tokensServed_.fetch_add(batchTokens, std::memory_order_relaxed);
@@ -185,16 +187,16 @@ DynamicBatcher::runBatch(std::vector<Pending> &batch)
             maxBatchObserved_ = std::max(maxBatchObserved_, batch.size());
             if (!dispatchClockSet_) {
                 dispatchClockSet_ = true;
-                firstDispatch_ = dispatchStart;
+                firstDispatch_ = computeStart;
             }
         }
         for (size_t i = 0; i < batch.size(); ++i) {
             Pending &p = batch[i];
             InferenceResponse resp;
             resp.requestId = p.id;
-            unpackImage(encoded_, i, resp.output);
+            encoded_.unpackImage(i, resp.output);
             resp.batchSize = batch.size();
-            resp.queueMs = msBetween(p.enqueued, dispatchStart);
+            resp.queueMs = msBetween(p.enqueued, computeStart);
             resp.computeMs = computeMs;
             resp.totalMs = msBetween(p.enqueued, done);
             {

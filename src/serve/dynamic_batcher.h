@@ -18,7 +18,7 @@
  *                  (latency bound — a lone request on an idle server
  *                  pays at most the window, not forever).
  *
- * The dispatcher packs via the ragged packRequests, runs
+ * The dispatcher packs via RaggedBatch::packFrom, runs
  * VitEncoder::forwardRaggedInto on the batcher's pool, and unpacks
  * each image's SURVIVING tokens into its request's future (under a
  * token-pruning keep ratio < 1.0 the response carries fewer rows than
@@ -65,7 +65,7 @@
 #include "runtime/thread_pool.h"
 #include "serve/inference.h"
 #include "serve/latency_reservoir.h"
-#include "tensor/batch.h"
+#include "tensor/ragged_batch.h"
 
 namespace vitality {
 

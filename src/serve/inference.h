@@ -4,14 +4,15 @@
  *
  * An InferenceRequest is one image's token matrix; its completion is a
  * std::future<InferenceResponse> the submitter holds while the
- * DynamicBatcher packs the request into a uniform Batch with whatever
+ * DynamicBatcher packs the request into a RaggedBatch with whatever
  * else arrived inside the batching window. The response carries the
  * encoded output plus the timing breakdown a latency SLO needs:
- * queueMs (submit to dispatch), computeMs (the batched forward), and
- * totalMs (submit to completion), along with the batch size the
- * request actually rode in — the number that explains a tail-latency
- * sample (a request that waited out maxWaitMicros alone reports
- * batchSize 1 and queueMs near the window).
+ * queueMs (submit until the forward starts, including any wait for
+ * the dispatch gate another model holds), computeMs (the batched
+ * forward), and totalMs (submit to completion), along with the batch
+ * size the request actually rode in — the number that explains a
+ * tail-latency sample (a request that waited out maxWaitMicros alone
+ * reports batchSize 1 and queueMs near the window).
  *
  * Failures that are the caller's fault or the server's state — queue
  * full, server stopping, unknown model, bad input shape — surface as
@@ -79,13 +80,16 @@ struct InferenceResponse
 {
     uint64_t requestId = 0;
 
-    /** Encoded output, tokens x dModel. */
+    /** Encoded output: the surviving tokens x dModel. */
     Matrix output;
 
     /** How many requests rode the batch this one was packed into. */
     size_t batchSize = 0;
 
-    /** Submit to dispatch (time spent queued, ms). */
+    /**
+     * Submit until the batched forward starts (ms): time in the queue
+     * plus any wait for the dispatch gate.
+     */
     double queueMs = 0.0;
 
     /** The batched forward this request rode (ms, shared). */

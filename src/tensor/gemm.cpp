@@ -240,6 +240,7 @@ runBackend(Gemm::Backend backend, Matrix &dst, const Matrix &a,
         detail::gemmAvx2(dst, a, b, trans, i0, i1, ep, packedB);
         return;
 #else
+        (void)packedB;
         throw std::invalid_argument(
             "gemm: AVX2 backend not compiled in "
             "(build with -DVITALITY_ENABLE_AVX2=ON)");
@@ -389,6 +390,7 @@ runBackendInt8(Gemm::Backend backend, Matrix &dst,
         detail::gemmInt8Avx2(dst, a, b, trans, i0, i1, wsum, ep, packedB);
         return;
 #else
+        (void)packedB;
         throw std::invalid_argument(
             "gemm: AVX2 backend not compiled in "
             "(build with -DVITALITY_ENABLE_AVX2=ON)");

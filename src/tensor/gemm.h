@@ -133,9 +133,9 @@
  * runner reports width > 1 and the product is large enough to amortize
  * the fan-out (the size heuristic keeps layer-norm-sized GEMMs
  * sequential). The runner reports width 1 when the calling thread is
- * itself a pool worker, which is how the batched path keeps its
- * image-level parallelism without oversubscribing: a GEMM running
- * inside a per-image task stays sequential. setMaxThreads() (test
+ * itself a pool worker, which is how the (image, head) attention items
+ * keep their parallelism without oversubscribing: a GEMM running
+ * inside a pool task stays sequential. setMaxThreads() (test
  * hook) and the VITALITY_THREADS environment variable cap the band
  * count; each band packs its own panels in its worker's thread-local
  * Workspace, so the steady state stays allocation-free per worker.

@@ -5,7 +5,7 @@
  *
  * The *Into paths document that after warm-up (first call at a given
  * shape) they perform no heap allocations: every intermediate lives in
- * a recycled Workspace / Batch / CsrMask. This suite turns that
+ * a recycled Workspace / RaggedBatch / CsrMask. This suite turns that
  * comment into a failing test: warm each path twice, then assert an
  * AllocationProbe around a third call observes zero allocations.
  *
@@ -20,10 +20,10 @@
 #include "base/rng.h"
 #include "model/vit_encoder.h"
 #include "runtime/thread_pool.h"
-#include "tensor/batch.h"
 #include "tensor/gemm.h"
 
 #include "alloc_tracker.h"
+#include "ragged_fixtures.h"
 #include "testing.h"
 
 using namespace vitality;
@@ -91,7 +91,8 @@ testZooForwardIntoAllocationFree()
     }
 }
 
-/** VitEncoder::forwardInto is allocation-free once warm. */
+/** VitEncoder::forwardInto is allocation-free once warm, pruning or
+ * not. */
 void
 testEncoderForwardAllocationFree()
 {
@@ -115,27 +116,18 @@ testEncoderForwardAllocationFree()
         if (probe.allocations() != 0)
             testing::reportFailure(__FILE__, __LINE__, name.c_str());
     }
-}
 
-/** VitEncoder::forwardBatchInto is allocation-free once warm. */
-void
-testEncoderForwardBatchAllocationFree()
-{
-    const VitConfig cfg = allocConfig();
-    const size_t images = 3;
-    Rng rng(0xa112);
-    const Batch x =
-        Batch::randn(images, cfg.tokens, cfg.dModel, rng, 0.0f, 0.5f);
-    ThreadPool pool(1);
-
-    VitEncoder enc(cfg, makeAttention(AttentionType::Taylor));
-    Batch out;
-    enc.forwardBatchInto(x, pool, out);
-    enc.forwardBatchInto(x, pool, out);
+    VitConfig pruned = allocConfig();
+    pruned.tokenKeep = {0.5f, 1.0f};
+    VitEncoder encP(pruned, makeAttention(AttentionType::Taylor));
+    Matrix out;
+    encP.forwardInto(x, pool, out);
+    encP.forwardInto(x, pool, out);
 
     testing::AllocationProbe probe;
-    enc.forwardBatchInto(x, pool, out);
+    encP.forwardInto(x, pool, out);
     T_CHECK(probe.allocations() == 0);
+    T_CHECK(out.rows() < cfg.tokens);
 }
 
 /**
@@ -148,25 +140,22 @@ testEncoderForwardRaggedAllocationFree()
 {
     const VitConfig cfg = allocConfig();
     Rng rng(0xa114);
-    std::vector<Matrix> imgs;
-    imgs.push_back(Matrix::randn(1, cfg.dModel, rng, 0.0f, 0.5f));
-    imgs.push_back(Matrix::randn(9, cfg.dModel, rng, 0.0f, 0.5f));
-    imgs.push_back(Matrix::randn(cfg.tokens, cfg.dModel, rng, 0.0f, 0.5f));
-    std::vector<const Matrix *> ptrs;
-    for (const Matrix &m : imgs)
-        ptrs.push_back(&m);
-    const RaggedBatch x =
-        RaggedBatch::fromMatrices(ptrs.data(), ptrs.size());
     ThreadPool pool(1);
-
     VitEncoder enc(cfg, makeAttention(AttentionType::Taylor));
     RaggedBatch out;
-    enc.forwardRaggedInto(x, pool, out);
-    enc.forwardRaggedInto(x, pool, out);
+    // Mixed lens and a uniform batch of equal lens.
+    const RaggedBatch uniform = testing::randomRagged(
+        {cfg.tokens, cfg.tokens, cfg.tokens}, cfg.dModel, rng, 0.0f, 0.5f);
+    const RaggedBatch x = testing::randomRagged({1, 9, cfg.tokens},
+                                                cfg.dModel, rng, 0.0f, 0.5f);
+    for (const RaggedBatch *in : {&uniform, &x}) {
+        enc.forwardRaggedInto(*in, pool, out);
+        enc.forwardRaggedInto(*in, pool, out);
 
-    testing::AllocationProbe probe;
-    enc.forwardRaggedInto(x, pool, out);
-    T_CHECK(probe.allocations() == 0);
+        testing::AllocationProbe probe;
+        enc.forwardRaggedInto(*in, pool, out);
+        T_CHECK(probe.allocations() == 0);
+    }
 
     // Same contract with a pruning schedule engaged.
     VitConfig pruned = allocConfig();
@@ -217,7 +206,6 @@ main()
     testTrackerObservesAllocations();
     testZooForwardIntoAllocationFree();
     testEncoderForwardAllocationFree();
-    testEncoderForwardBatchAllocationFree();
     testEncoderForwardRaggedAllocationFree();
     testEncoderInt8ForwardAllocationFree();
     return vitality::testing::finish("test_alloc");

@@ -26,10 +26,10 @@
 #include "base/rng.h"
 #include "runtime/multi_head_attention.h"
 #include "runtime/thread_pool.h"
-#include "tensor/batch.h"
 #include "tensor/gemm.h"
 #include "tensor/matrix.h"
 #include "tensor/ops.h"
+#include "ragged_fixtures.h"
 #include "testing.h"
 
 using namespace vitality;
@@ -571,7 +571,7 @@ testEpilogueValidation()
  * far tighter than any real kernel bug.
  */
 void
-testForwardBatchCrossBackendParity()
+testMultiHeadCrossBackendParity()
 {
     if (!avx2Here()) {
         std::printf("  avx2 unavailable; cross-backend batch parity "
@@ -581,32 +581,34 @@ testForwardBatchCrossBackendParity()
     const Gemm::Backend before = Gemm::active();
     ThreadPool pool;
     Rng rng(0x77);
-    const size_t tokens = 197, heads = 6, dModel = 6 * 64, batchN = 3;
-    Batch q = Batch::randn(batchN, tokens, dModel, rng, 0.0f, 0.5f);
-    Batch k = Batch::randn(batchN, tokens, dModel, rng, 0.0f, 0.5f);
-    Batch v = Batch::randn(batchN, tokens, dModel, rng);
+    const size_t tokens = 197, heads = 6, dModel = 6 * 64;
+    const std::vector<size_t> lens(3, tokens);
+    const RaggedBatch q =
+        testing::randomRagged(lens, dModel, rng, 0.0f, 0.5f);
+    const RaggedBatch k =
+        testing::randomRagged(lens, dModel, rng, 0.0f, 0.5f);
+    const RaggedBatch v = testing::randomRagged(lens, dModel, rng);
 
     for (AttentionType type : {AttentionType::Taylor,
                                AttentionType::Softmax,
                                AttentionType::Unified}) {
         MultiHeadAttention mha(makeAttention(type), heads);
+        RaggedBatch outScalar, outAvx2, outAvx2b;
         Gemm::setActive(Gemm::Backend::Scalar);
-        Batch outScalar = mha.forwardBatch(pool, q, k, v);
+        mha.forwardRaggedInto(pool, q, k, v, outScalar);
         Gemm::setActive(Gemm::Backend::Avx2);
-        Batch outAvx2 = mha.forwardBatch(pool, q, k, v);
-        for (size_t i = 0; i < batchN; ++i) {
-            const float diff = maxAbsDiff(outScalar[i], outAvx2[i]);
-            if (!(diff <= 1e-3f)) {
-                std::printf("  %s image %zu: cross-backend diff %g\n",
-                            attentionTypeName(type).c_str(), i,
-                            static_cast<double>(diff));
-                T_CHECK(diff <= 1e-3f);
-            }
+        mha.forwardRaggedInto(pool, q, k, v, outAvx2);
+        const float diff =
+            maxAbsDiff(outScalar.buffer(), outAvx2.buffer());
+        if (!(diff <= 1e-3f)) {
+            std::printf("  %s: cross-backend diff %g\n",
+                        attentionTypeName(type).c_str(),
+                        static_cast<double>(diff));
+            T_CHECK(diff <= 1e-3f);
         }
         // Same backend twice is bitwise-identical (determinism).
-        Batch outAvx2b = mha.forwardBatch(pool, q, k, v);
-        for (size_t i = 0; i < batchN; ++i)
-            T_CHECK(outAvx2[i] == outAvx2b[i]);
+        mha.forwardRaggedInto(pool, q, k, v, outAvx2b);
+        T_CHECK(outAvx2 == outAvx2b);
     }
     Gemm::setActive(before);
 }
@@ -625,6 +627,6 @@ main()
     testFusedEpilogueParity();
     testFastGeluEpilogue();
     testEpilogueValidation();
-    testForwardBatchCrossBackendParity();
+    testMultiHeadCrossBackendParity();
     return vitality::testing::finish("test_gemm");
 }

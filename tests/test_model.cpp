@@ -1,9 +1,10 @@
 /**
  * @file
  * Model-layer tests: DeiT presets, the DeiT-Tiny encoder end-to-end with
- * both the Taylor and softmax kernels, determinism, allocation-free
- * steady state, and the model-level OpCounts rollup against the per-head
- * counts scaled by heads x layers.
+ * both the Taylor and softmax kernels, determinism, the single-image
+ * forward's token-keep schedule, the concurrent-call guard, and the
+ * model-level OpCounts rollup against the per-head counts scaled by
+ * heads x layers.
  */
 
 #include <cmath>
@@ -16,12 +17,16 @@
 #include "base/rng.h"
 #include "model/vit_config.h"
 #include "model/vit_encoder.h"
-#include "tensor/batch.h"
+#include "model/token_pruner.h"
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
+#include "ragged_fixtures.h"
 #include "testing.h"
 
 using namespace vitality;
+using testing::imageOf;
+using testing::randomRagged;
+using testing::soloBatch;
 
 namespace {
 
@@ -50,7 +55,9 @@ allFinite(const Matrix &m)
 void
 testDeitTinyEndToEnd()
 {
-    const VitConfig cfg = VitConfig::deitTiny();
+    // Unpruned by an explicit all-1.0 schedule, which overrides the
+    // global VITALITY_TOKENS knob.
+    const VitConfig cfg = VitConfig::deitTiny().withTokenKeep(1.0f);
     Rng rng(0x3311);
     const Matrix x =
         Matrix::randn(cfg.tokens, cfg.dModel, rng, 0.0f, 1.0f);
@@ -114,39 +121,31 @@ testOpCountRollup()
     T_CHECK(s / t > 2.5 && s / t < 6.0);
 }
 
+/**
+ * The single-image forward is the one-image ragged forward: it honours
+ * the keep schedule (returning the surviving rows) and equals
+ * forwardRagged of the one-image batch bitwise.
+ */
 void
-testEncoderBatchMatchesPerImage()
+testForwardHonoursKeepSchedule()
 {
-    // A small config keeps the three-kernel sweep fast while exercising
-    // the same code paths as the DeiT presets.
-    const VitConfig cfg{"Test-Small", 2, 3, 48, 19, 96, {}, {}};
+    const VitConfig cfg = VitConfig{"Test-Keep", 4, 2, 32, 19, 64, {}, {}}
+                              .withTokenKeep(0.5f);
     cfg.validate();
-    Rng rng(0x3422);
-    const Batch x = Batch::randn(3, cfg.tokens, cfg.dModel, rng);
-    ThreadPool pool(4);
+    Rng rng(0x3423);
+    const Matrix x = Matrix::randn(cfg.tokens, cfg.dModel, rng);
+    ThreadPool pool(2);
 
-    for (AttentionType type :
-         {AttentionType::Taylor, AttentionType::Softmax,
-          AttentionType::Unified}) {
-        VitEncoder encoder(cfg, makeAttention(type), 0x7777);
-        const Batch y = encoder.forwardBatch(x, pool);
-        T_CHECK(y.size() == x.size() && y.rows() == cfg.tokens &&
-                y.cols() == cfg.dModel);
-        // Bitwise parity with per-image execution: the per-image float
-        // program is shared between the two paths.
-        for (size_t b = 0; b < x.size(); ++b)
-            T_CHECK(y[b] == encoder.forward(x[b], pool));
-        // Recycled rerun stays identical.
-        T_CHECK(encoder.forwardBatch(x, pool) == y);
-    }
+    size_t survivors = cfg.tokens;
+    for (float keep : cfg.tokenKeep)
+        survivors = TokenPruner::keptTokens(survivors, keep);
+    T_CHECK(survivors < cfg.tokens);
 
     VitEncoder encoder(cfg, makeAttention(AttentionType::Taylor), 0x7777);
-    const Batch empty;
-    T_CHECK_THROWS(encoder.forwardBatch(empty, pool),
-                   std::invalid_argument);
-    const Batch wrong = Batch::randn(2, cfg.tokens + 1, cfg.dModel, rng);
-    T_CHECK_THROWS(encoder.forwardBatch(wrong, pool),
-                   std::invalid_argument);
+    const Matrix y = encoder.forward(x, pool);
+    T_CHECK(y.rows() == survivors && y.cols() == cfg.dModel);
+    const RaggedBatch yr = encoder.forwardRagged(soloBatch(x), pool);
+    T_CHECK(y == imageOf(yr, 0));
 }
 
 /**
@@ -213,15 +212,15 @@ testEncoderRejectsConcurrentCalls()
     ThreadPool pool(2);
     Rng rng(0x3455);
     const Matrix x = Matrix::randn(cfg.tokens, cfg.dModel, rng);
-    const Batch xb = Batch::randn(2, cfg.tokens, cfg.dModel, rng);
+    const RaggedBatch xb = randomRagged({cfg.tokens, 2}, cfg.dModel, rng);
 
     std::thread first([&] { (void)encoder.forward(x, pool); });
     kernel->waitEntered();
 
     Matrix out;
     T_CHECK_THROWS(encoder.forwardInto(x, pool, out), std::logic_error);
-    Batch bout;
-    T_CHECK_THROWS(encoder.forwardBatchInto(xb, pool, bout),
+    RaggedBatch bout;
+    T_CHECK_THROWS(encoder.forwardRaggedInto(xb, pool, bout),
                    std::logic_error);
 
     kernel->release();
@@ -265,7 +264,10 @@ testEncoderMatchesUnfusedReference()
     const Matrix q = broadcastAddRow(matmul(normed1, w.wq), w.bq);
     const Matrix k = broadcastAddRow(matmul(normed1, w.wk), w.bk);
     const Matrix v = broadcastAddRow(matmul(normed1, w.wv), w.bv);
-    const Matrix attn = mha.forwardSequential(q, k, v);
+    RaggedBatch attnB;
+    mha.forwardRaggedSequentialInto(soloBatch(q), soloBatch(k),
+                                    soloBatch(v), attnB);
+    const Matrix attn = imageOf(attnB, 0);
     const Matrix xr =
         add(x, broadcastAddRow(matmul(attn, w.wo), w.bo));
     const Matrix normed2 = layerNormRows(xr, w.ln2Gamma, w.ln2Beta);
@@ -281,15 +283,17 @@ testEncoderMatchesUnfusedReference()
 void
 testDeitTinyBatchParity()
 {
-    // One real-preset spot check: DeiT-Tiny, Taylor, B=2.
+    // One real-preset spot check: DeiT-Tiny, Taylor, two equal-length
+    // images; each equals its own single-image forward.
     const VitConfig cfg = VitConfig::deitTiny();
     Rng rng(0x3433);
-    const Batch x = Batch::randn(2, cfg.tokens, cfg.dModel, rng);
+    const RaggedBatch x =
+        randomRagged({cfg.tokens, cfg.tokens}, cfg.dModel, rng);
     ThreadPool pool(4);
     VitEncoder encoder(cfg, makeAttention(AttentionType::Taylor), 0x1234);
-    const Batch y = encoder.forwardBatch(x, pool);
+    const RaggedBatch y = encoder.forwardRagged(x, pool);
     for (size_t b = 0; b < x.size(); ++b)
-        T_CHECK(y[b] == encoder.forward(x[b], pool));
+        T_CHECK(imageOf(y, b) == encoder.forward(imageOf(x, b), pool));
 }
 
 } // namespace
@@ -300,7 +304,7 @@ main()
     testPresets();
     testDeitTinyEndToEnd();
     testOpCountRollup();
-    testEncoderBatchMatchesPerImage();
+    testForwardHonoursKeepSchedule();
     testEncoderRejectsConcurrentCalls();
     testEncoderMatchesUnfusedReference();
     testDeitTinyBatchParity();

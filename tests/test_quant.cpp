@@ -21,9 +21,11 @@
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
 #include "tensor/quantized_matrix.h"
+#include "ragged_fixtures.h"
 #include "testing.h"
 
 using namespace vitality;
+using testing::imageOf;
 
 namespace {
 
@@ -413,10 +415,13 @@ testEncoderInt8Deviation()
     ModeGuard guard;
     ThreadPool pool(2);
 
-    const VitConfig small = VitConfig::deitSmall();
+    // The bounds were measured unpruned: an explicit all-1.0 schedule
+    // overrides the global VITALITY_TOKENS knob.
+    const VitConfig small = VitConfig::deitSmall().withTokenKeep(1.0f);
     VitConfig baseish = VitConfig::deitBase();
     baseish.layers = 2; // full Base is bench territory; keep tests fast
     baseish.tokens = 64;
+    baseish = baseish.withTokenKeep(1.0f);
     const struct
     {
         const VitConfig &cfg;
@@ -447,12 +452,10 @@ testEncoderInt8Deviation()
         // Int8 mode is deterministic and batched forward stays
         // bitwise-identical to per-image forward.
         T_CHECK(encoder.forward(x, pool) == yQ);
-        Batch bx;
-        bx.resize(2, tc.cfg.tokens, tc.cfg.dModel);
-        bx[0].copyFrom(x);
-        bx[1].copyFrom(x);
-        Batch by = encoder.forwardBatch(bx, pool);
-        T_CHECK(by[0] == yQ && by[1] == yQ);
+        const Matrix *pair[] = {&x, &x};
+        const RaggedBatch by =
+            encoder.forwardRagged(RaggedBatch::fromMatrices(pair, 2), pool);
+        T_CHECK(imageOf(by, 0) == yQ && imageOf(by, 1) == yQ);
     }
 }
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * Concurrency stress tests, written for the ThreadSanitizer CI leg
- * (they also run in the plain suites): concurrent forwardBatch on
+ * (they also run in the plain suites): concurrent batched forwards on
  * distinct encoders sharing one pool, ThreadPool construction and
  * destruction racing in-flight GEMMs (both the uninstall path and the
  * runner handoff to a surviving pool), and CallGuard contention on a
@@ -23,9 +23,9 @@
 #include "model/vit_encoder.h"
 #include "runtime/multi_head_attention.h"
 #include "runtime/thread_pool.h"
-#include "tensor/batch.h"
 #include "tensor/gemm.h"
 
+#include "ragged_fixtures.h"
 #include "testing.h"
 
 using namespace vitality;
@@ -56,26 +56,30 @@ void
 testConcurrentEncodersShareOnePool()
 {
     const VitConfig cfg = raceConfig();
-    const size_t callers = 3, images = 2;
+    const size_t callers = 3;
     ThreadPool pool(3);
 
     std::vector<std::unique_ptr<VitEncoder>> encoders;
-    std::vector<Batch> inputs, refs;
+    std::vector<RaggedBatch> inputs, refs;
     for (size_t c = 0; c < callers; ++c) {
         encoders.push_back(std::make_unique<VitEncoder>(
             cfg, makeAttention(AttentionType::Taylor), 0x5eed + c));
         Rng rng(0xba7c + c);
+        // Caller 0 runs a uniform batch, the others mixed lens.
+        const std::vector<size_t> lens =
+            c == 0 ? std::vector<size_t>{cfg.tokens, cfg.tokens}
+                   : std::vector<size_t>{cfg.tokens, 5 + c};
         inputs.push_back(
-            Batch::randn(images, cfg.tokens, cfg.dModel, rng, 0.0f, 0.5f));
-        refs.push_back(encoders[c]->forwardBatch(inputs[c], pool));
+            testing::randomRagged(lens, cfg.dModel, rng, 0.0f, 0.5f));
+        refs.push_back(encoders[c]->forwardRagged(inputs[c], pool));
     }
 
     std::vector<std::thread> threads;
     for (size_t c = 0; c < callers; ++c) {
         threads.emplace_back([&, c] {
             for (int iter = 0; iter < 4; ++iter) {
-                const Batch out =
-                    encoders[c]->forwardBatch(inputs[c], pool);
+                const RaggedBatch out =
+                    encoders[c]->forwardRagged(inputs[c], pool);
                 T_CHECK(out == refs[c]);
             }
         });
@@ -180,13 +184,14 @@ testCallGuardContention()
 {
     const size_t n = 32, heads = 2, dm = 16;
     Rng rng(0xca11);
-    const Matrix q = Matrix::randn(n, dm, rng, 0.0f, 0.5f);
-    const Matrix k = Matrix::randn(n, dm, rng, 0.0f, 0.5f);
-    const Matrix v = Matrix::randn(n, dm, rng);
+    const RaggedBatch q = testing::randomRagged({n}, dm, rng, 0.0f, 0.5f);
+    const RaggedBatch k = testing::randomRagged({n}, dm, rng, 0.0f, 0.5f);
+    const RaggedBatch v = testing::randomRagged({n}, dm, rng);
 
     ThreadPool pool(2);
     MultiHeadAttention mha(makeAttention(AttentionType::Softmax), heads);
-    const Matrix ref = mha.forward(pool, q, k, v);
+    RaggedBatch ref;
+    mha.forwardRaggedInto(pool, q, k, v, ref);
 
     const int threads = 4, iters = 8;
     std::atomic<int> completed{0}, refused{0};
@@ -195,8 +200,8 @@ testCallGuardContention()
         callers.emplace_back([&] {
             for (int i = 0; i < iters; ++i) {
                 try {
-                    Matrix out;
-                    mha.forwardInto(pool, q, k, v, out);
+                    RaggedBatch out;
+                    mha.forwardRaggedInto(pool, q, k, v, out);
                     T_CHECK(out == ref);
                     completed.fetch_add(1);
                 } catch (const std::logic_error &) {
@@ -210,26 +215,34 @@ testCallGuardContention()
     T_CHECK(completed.load() + refused.load() == threads * iters);
     T_CHECK(completed.load() >= 1);
 
-    Matrix out;
-    mha.forwardInto(pool, q, k, v, out);
+    RaggedBatch out;
+    mha.forwardRaggedInto(pool, q, k, v, out);
     T_CHECK(out == ref);
 
-    // Same contract on the encoder's guard.
+    // Same contract on the encoder's guard, with the single-image and
+    // the batched entry points racing for the same activation buffers.
     const VitConfig cfg = raceConfig();
     VitEncoder enc(cfg, makeAttention(AttentionType::Taylor));
     Rng erng(0xca12);
     const Matrix x =
         Matrix::randn(cfg.tokens, cfg.dModel, erng, 0.0f, 0.5f);
+    const RaggedBatch xb = testing::soloBatch(x);
     const Matrix eref = enc.forward(x, pool);
 
     std::atomic<int> eCompleted{0}, eRefused{0};
     std::vector<std::thread> ecallers;
     for (int t = 0; t < threads; ++t) {
-        ecallers.emplace_back([&] {
+        ecallers.emplace_back([&, t] {
             for (int i = 0; i < iters; ++i) {
                 try {
                     Matrix eout;
-                    enc.forwardInto(x, pool, eout);
+                    if (t % 2 == 0) {
+                        enc.forwardInto(x, pool, eout);
+                    } else {
+                        RaggedBatch bout;
+                        enc.forwardRaggedInto(xb, pool, bout);
+                        bout.unpackImage(0, eout);
+                    }
                     T_CHECK(eout == eref);
                     eCompleted.fetch_add(1);
                 } catch (const std::logic_error &) {

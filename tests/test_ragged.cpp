@@ -4,16 +4,12 @@
  * ragged MultiHeadAttention fan-out, and the variable-token encoder
  * path with attention-guided token pruning.
  *
- * The two acceptance-grade assertions live here:
- *
- *  - keep = 1.0 parity: VitEncoder::forwardRagged over a uniform-lens
- *    batch is BITWISE-identical, per image, to forwardBatch — for the
- *    Taylor, Softmax, and Unified kernels. This is what lets the
- *    serving layer dispatch everything through the ragged path.
- *  - batch independence: in a mixed {1, 17, n} batch every image's
- *    result is bitwise-identical to a single-image ragged forward of
- *    the same input, so a request's answer never depends on what it
- *    was batched with.
+ * The acceptance-grade assertion lives here: batch independence. In a
+ * uniform batch and in a mixed {1, 17, n} batch alike, every image's
+ * result is bitwise-identical to a single-image forward of the same
+ * input — for the Taylor, Softmax, and Unified kernels — so a
+ * request's answer never depends on what it was batched with. This is
+ * what lets the serving layer dispatch everything as ragged batches.
  *
  * Pruning is asserted structurally (surviving row counts match the
  * TokenPruner::keptTokens / buildSchedule analytics exactly) and
@@ -35,9 +31,12 @@
 #include "runtime/thread_pool.h"
 #include "sparse/csr.h"
 #include "tensor/ragged_batch.h"
+#include "ragged_fixtures.h"
 #include "testing.h"
 
 using namespace vitality;
+using testing::imageOf;
+using testing::soloBatch;
 
 namespace {
 
@@ -66,13 +65,7 @@ RaggedBatch
 randomRagged(const std::vector<size_t> &lens, size_t cols, uint64_t seed)
 {
     Rng rng(seed);
-    std::vector<Matrix> imgs;
-    for (size_t n : lens)
-        imgs.push_back(Matrix::randn(n, cols, rng, 0.0f, 0.5f));
-    std::vector<const Matrix *> ptrs;
-    for (const Matrix &m : imgs)
-        ptrs.push_back(&m);
-    return RaggedBatch::fromMatrices(ptrs.data(), ptrs.size());
+    return testing::randomRagged(lens, cols, rng, 0.0f, 0.5f);
 }
 
 // ------------------------------------------------------ structure
@@ -132,12 +125,15 @@ testPackUnpackRoundTrip()
     RaggedBatch shorter = randomRagged({1, 9}, 6, 1);
     T_CHECK(shorter != rb); // structure mismatch, not a throw
 
-    // A uniform Batch converts losslessly.
-    const Batch ub = Batch::randn(2, 5, 6, rng);
-    const RaggedBatch urb = RaggedBatch::fromBatch(ub);
-    T_CHECK(urb.size() == 2 && urb.rowsOf(0) == 5 && urb.rowsOf(1) == 5);
-    urb.unpackImage(1, out);
-    T_CHECK(out == ub.at(1));
+    // Repacking recycles: a uniform pack into the same batch reuses
+    // the buffer it already has.
+    const Matrix *uniform[] = {&c, &c};
+    const float *storage = rb.buffer().data();
+    rb.packFrom(uniform, 2);
+    T_CHECK(rb.size() == 2 && rb.rowsOf(0) == 4 && rb.rowsOf(1) == 4);
+    T_CHECK(rb.buffer().data() == storage);
+    rb.unpackImage(1, out);
+    T_CHECK(out == c);
 
     // packFrom error paths.
     RaggedBatch dst;
@@ -183,37 +179,40 @@ testShrinkRows()
 // ------------------------------------------- ragged attention fan-out
 
 /**
- * Ragged MHA over mixed lens (including the n = 1 edge) equals both
- * its own sequential twin and a per-image packed forwardSequential —
- * bitwise, for every kernel in the zoo.
+ * Ragged MHA over mixed lens (including the n = 1 edge) and over
+ * uniform lens equals both its own sequential twin and a per-image
+ * one-image forward — bitwise, for every kernel in the zoo.
  */
 void
 testRaggedAttentionParity()
 {
     const size_t heads = 2, dh = 8, cols = heads * dh;
-    const std::vector<size_t> lens = {1, 17, 6};
-    const RaggedBatch q = randomRagged(lens, cols, 0xaa01);
-    const RaggedBatch k = randomRagged(lens, cols, 0xaa02);
-    const RaggedBatch v = randomRagged(lens, cols, 0xaa03);
     ThreadPool pool(3);
+    for (const std::vector<size_t> &lens :
+         {std::vector<size_t>{1, 17, 6}, std::vector<size_t>{9, 9, 9, 9}}) {
+        const RaggedBatch q = randomRagged(lens, cols, 0xaa01);
+        const RaggedBatch k = randomRagged(lens, cols, 0xaa02);
+        const RaggedBatch v = randomRagged(lens, cols, 0xaa03);
 
-    for (AttentionType type : allAttentionTypes()) {
-        MultiHeadAttention mha(makeAttention(type), heads);
-        RaggedBatch out, outSeq;
-        mha.forwardRaggedInto(pool, q, k, v, out);
-        T_CHECK(out.offsets() == q.offsets());
-        mha.forwardRaggedSequentialInto(q, k, v, outSeq);
-        T_CHECK(out == outSeq);
+        for (AttentionType type : allAttentionTypes()) {
+            MultiHeadAttention mha(makeAttention(type), heads);
+            RaggedBatch out, outSeq, solo;
+            mha.forwardRaggedInto(pool, q, k, v, out);
+            T_CHECK(out.offsets() == q.offsets());
+            mha.forwardRaggedSequentialInto(q, k, v, outSeq);
+            T_CHECK(out == outSeq);
 
-        // Per-image reference through the uniform packed path.
-        Matrix qi, ki, vi, want, got;
-        for (size_t i = 0; i < lens.size(); ++i) {
-            q.unpackImage(i, qi);
-            k.unpackImage(i, ki);
-            v.unpackImage(i, vi);
-            want = mha.forwardSequential(qi, ki, vi);
-            out.unpackImage(i, got);
-            T_CHECK(got == want);
+            // Per-image reference: the same image as a batch of one.
+            for (size_t i = 0; i < lens.size(); ++i) {
+                mha.forwardRaggedInto(pool, soloBatch(imageOf(q, i)),
+                                      soloBatch(imageOf(k, i)),
+                                      soloBatch(imageOf(v, i)), solo);
+                T_CHECK(imageOf(out, i) == imageOf(solo, 0));
+            }
+
+            // Recycled rerun stays identical.
+            mha.forwardRaggedInto(pool, q, k, v, outSeq);
+            T_CHECK(out == outSeq);
         }
     }
 }
@@ -242,73 +241,66 @@ testRaggedAttentionShapeChecks()
     const RaggedBatch empty;
     T_CHECK_THROWS(mha.forwardRaggedInto(pool, empty, empty, empty, out),
                    std::invalid_argument);
+    // Columns must split evenly into heads (d_h = 0 is unreachable:
+    // RaggedBatch refuses zero columns).
+    const RaggedBatch odd = randomRagged({3, 5}, cols + 1, 5);
+    T_CHECK_THROWS(mha.forwardRaggedInto(pool, odd, odd, odd, out),
+                   std::invalid_argument);
+    T_CHECK_THROWS(mha.forwardRaggedSequentialInto(odd, odd, odd, out),
+                   std::invalid_argument);
+    // A buffer reshaped behind its offsets is caught on entry.
+    RaggedBatch broken = randomRagged({3, 5}, cols, 6);
+    broken.buffer().resize(7, cols);
+    T_CHECK_THROWS(mha.forwardRaggedInto(pool, broken, q, q, out),
+                   std::invalid_argument);
 }
 
-// --------------------------------------------- encoder parity (keep=1)
+// ------------------------------------------------ encoder batch parity
 
 /**
- * THE acceptance criterion: with keep = 1.0 (the default) the ragged
- * encoder path over uniform lens is bitwise-identical per image to
- * forwardBatch, and in a mixed batch every image equals its own
- * single-image ragged forward.
+ * THE acceptance criterion: over uniform lens and over mixed lens
+ * (including the n = 1 edge) every image of a batched forward is
+ * bitwise-identical to the single-image forward of that image, for the
+ * three end-to-end kernels.
  */
 void
-testEncoderRaggedKeepOneParity()
-{
-    VitConfig cfg = raggedConfig();
-    // An explicit all-1.0 schedule overrides the global VITALITY_TOKENS
-    // knob, so this parity contract holds under the CI keep-ratio
-    // sweep too.
-    cfg.tokenKeep.assign(cfg.layers, 1.0f);
-    ThreadPool pool(3);
-    Rng rng(0xe11);
-    const Batch x = Batch::randn(3, cfg.tokens, cfg.dModel, rng, 0.0f, 0.5f);
-
-    for (AttentionType type :
-         {AttentionType::Taylor, AttentionType::Softmax,
-          AttentionType::Unified}) {
-        VitEncoder enc(cfg, makeAttention(type), 0xbeef);
-        const Batch want = enc.forwardBatch(x, pool);
-
-        const RaggedBatch rx = RaggedBatch::fromBatch(x);
-        const RaggedBatch got = enc.forwardRagged(rx, pool);
-        T_CHECK(got.size() == 3);
-        Matrix img;
-        for (size_t i = 0; i < 3; ++i) {
-            got.unpackImage(i, img);
-            T_CHECK(img == want.at(i)); // bitwise
-        }
-    }
-}
-
-/** Mixed token counts: each image is independent of its batch-mates. */
-void
-testEncoderRaggedBatchIndependence()
+testEncoderBatchMatchesPerImage()
 {
     VitConfig cfg = raggedConfig();
     cfg.tokenKeep.assign(cfg.layers, 1.0f); // pin: no pruning here
     ThreadPool pool(3);
-    const std::vector<size_t> lens = {1, 17, cfg.tokens};
-    const RaggedBatch x = randomRagged(lens, cfg.dModel, 0xe22);
 
-    VitEncoder enc(cfg, makeAttention(AttentionType::Taylor), 0xbeef);
-    const RaggedBatch got = enc.forwardRagged(x, pool);
-    T_CHECK(got.offsets() == x.offsets()); // keep = 1.0: no shrink
-
-    Matrix in, want, out;
-    for (size_t i = 0; i < lens.size(); ++i) {
-        x.unpackImage(i, in);
-        const Matrix *ptr = &in;
-        const RaggedBatch solo = RaggedBatch::fromMatrices(&ptr, 1);
-        const RaggedBatch ref = enc.forwardRagged(solo, pool);
-        ref.unpackImage(0, want);
-        got.unpackImage(i, out);
-        T_CHECK(out == want); // bitwise
+    for (const std::vector<size_t> &lens :
+         {std::vector<size_t>(3, cfg.tokens),
+          std::vector<size_t>{1, 17, cfg.tokens}}) {
+        const RaggedBatch x = randomRagged(lens, cfg.dModel, 0xe22);
+        for (AttentionType type :
+             {AttentionType::Taylor, AttentionType::Softmax,
+              AttentionType::Unified}) {
+            VitEncoder enc(cfg, makeAttention(type), 0xbeef);
+            const RaggedBatch got = enc.forwardRagged(x, pool);
+            T_CHECK(got.offsets() == x.offsets()); // keep = 1.0
+            for (size_t i = 0; i < lens.size(); ++i) {
+                const Matrix want = enc.forward(imageOf(x, i), pool);
+                T_CHECK(imageOf(got, i) == want); // bitwise
+            }
+            // Recycled rerun stays identical.
+            T_CHECK(enc.forwardRagged(x, pool) == got);
+        }
     }
 
+    VitEncoder enc(cfg, makeAttention(AttentionType::Taylor), 0xbeef);
     RaggedBatch bad = randomRagged({4}, cfg.dModel + 1, 5);
     RaggedBatch outRb;
     T_CHECK_THROWS(enc.forwardRaggedInto(bad, pool, outRb),
+                   std::invalid_argument);
+    const RaggedBatch empty;
+    T_CHECK_THROWS(enc.forwardRaggedInto(empty, pool, outRb),
+                   std::invalid_argument);
+    Matrix out;
+    T_CHECK_THROWS(enc.forwardInto(Matrix(4, cfg.dModel + 1), pool, out),
+                   std::invalid_argument);
+    T_CHECK_THROWS(enc.forwardInto(Matrix(0, cfg.dModel), pool, out),
                    std::invalid_argument);
 }
 
@@ -364,15 +356,8 @@ testEncoderPruningStructure()
         T_CHECK(got.rowsOf(i) == TokenPruner::keptTokens(lens[i], 0.5f));
 
     // Same input alone prunes to the same surviving values.
-    Matrix in, want, out;
     for (size_t i = 0; i < lens.size(); ++i) {
-        x.unpackImage(i, in);
-        const Matrix *ptr = &in;
-        const RaggedBatch ref =
-            enc.forwardRagged(RaggedBatch::fromMatrices(&ptr, 1), pool);
-        ref.unpackImage(0, want);
-        got.unpackImage(i, out);
-        T_CHECK(out == want);
+        T_CHECK(imageOf(got, i) == enc.forward(imageOf(x, i), pool));
     }
 
     // withTokenKeep builds the staged schedule; validate() rejects
@@ -477,8 +462,7 @@ main()
     testShrinkRows();
     testRaggedAttentionParity();
     testRaggedAttentionShapeChecks();
-    testEncoderRaggedKeepOneParity();
-    testEncoderRaggedBatchIndependence();
+    testEncoderBatchMatchesPerImage();
     testPrunerAnalytics();
     testEncoderPruningStructure();
     testGlobalKeepKnob();

@@ -3,8 +3,9 @@
  * Runtime-layer tests: ThreadPool scheduling and exception propagation,
  * MultiHeadAttention's pooled path against both its own sequential
  * reference and a hand-rolled per-head loop over the legacy forward(),
- * the batched (B x heads) dispatch against per-image execution, the
- * concurrent-caller guard, and degenerate-shape rejection.
+ * pool-width independence, the concurrent-caller guard, and shape
+ * rejection. Multi-image (B x heads) dispatch parity lives in
+ * test_ragged.
  */
 
 #include <atomic>
@@ -19,12 +20,14 @@
 #include "runtime/call_guard.h"
 #include "runtime/multi_head_attention.h"
 #include "runtime/thread_pool.h"
-#include "tensor/batch.h"
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
+#include "ragged_fixtures.h"
 #include "testing.h"
 
 using namespace vitality;
+using testing::imageOf;
+using testing::soloBatch;
 
 namespace {
 
@@ -255,15 +258,20 @@ testMultiHeadMatchesSequentialAndLegacy()
     const Matrix k = Matrix::randn(n, dm, rng, 0.0f, 0.5f);
     const Matrix v = Matrix::randn(n, dm, rng);
 
+    const RaggedBatch qb = soloBatch(q), kb = soloBatch(k),
+                      vb = soloBatch(v);
+
     ThreadPool pool(4);
     for (const AttentionKernelPtr &kernel : makeAttentionZoo()) {
         MultiHeadAttention mha(kernel, heads);
 
         // Pooled vs sequential: the per-head programs are identical, so
         // the packed outputs are bitwise equal regardless of scheduling.
-        const Matrix parallel_out = mha.forward(pool, q, k, v);
-        const Matrix sequential_out = mha.forwardSequential(q, k, v);
-        T_CHECK(parallel_out == sequential_out);
+        RaggedBatch pooled, sequential;
+        mha.forwardRaggedInto(pool, qb, kb, vb, pooled);
+        mha.forwardRaggedSequentialInto(qb, kb, vb, sequential);
+        T_CHECK(pooled == sequential);
+        const Matrix parallel_out = imageOf(pooled, 0);
 
         // And against a hand-rolled loop over the legacy forward().
         Matrix reference(n, dm);
@@ -294,21 +302,22 @@ testMultiHeadMatchesSequentialAndLegacy()
 void
 testMultiHeadDeterministicAcrossPoolSizes()
 {
-    const size_t n = 19, heads = 4, dm = 32;
+    const size_t heads = 4, dm = 32;
     Rng rng(0x99b2);
-    const Matrix q = Matrix::randn(n, dm, rng);
-    const Matrix k = Matrix::randn(n, dm, rng);
-    const Matrix v = Matrix::randn(n, dm, rng);
+    const RaggedBatch q = testing::randomRagged({19, 3}, dm, rng);
+    const RaggedBatch k = testing::randomRagged({19, 3}, dm, rng);
+    const RaggedBatch v = testing::randomRagged({19, 3}, dm, rng);
 
     AttentionKernelPtr kernel = makeAttention(AttentionType::Taylor);
     ThreadPool one(1), many(8);
     MultiHeadAttention mha_one(kernel, heads), mha_many(kernel, heads);
-    const Matrix a = mha_one.forward(one, q, k, v);
-    const Matrix b = mha_many.forward(many, q, k, v);
+    RaggedBatch a, b, c;
+    mha_one.forwardRaggedInto(one, q, k, v, a);
+    mha_many.forwardRaggedInto(many, q, k, v, b);
     T_CHECK(a == b);
 
     // Repeated calls on the same instance recycle and stay identical.
-    const Matrix c = mha_many.forward(many, q, k, v);
+    mha_many.forwardRaggedInto(many, q, k, v, c);
     T_CHECK(b == c);
 }
 
@@ -319,82 +328,16 @@ testMultiHeadShapeValidation()
     AttentionKernelPtr kernel = makeAttention(AttentionType::Softmax);
     MultiHeadAttention mha(kernel, 3);
     Rng rng(0x99c3);
-    const Matrix bad = Matrix::randn(8, 16, rng); // 16 % 3 != 0
-    T_CHECK_THROWS(mha.forward(pool, bad, bad, bad),
+    const RaggedBatch bad = soloBatch(Matrix::randn(8, 16, rng)); // 16 % 3
+    RaggedBatch out;
+    T_CHECK_THROWS(mha.forwardRaggedInto(pool, bad, bad, bad, out),
                    std::invalid_argument);
     T_CHECK_THROWS(MultiHeadAttention(kernel, 0), std::invalid_argument);
     T_CHECK_THROWS(MultiHeadAttention(nullptr, 2), std::invalid_argument);
-
-    // Degenerate packed inputs are rejected loudly instead of silently
-    // producing empty output: zero tokens and zero width (d_h = 0 —
-    // 0 % heads == 0, so the divisibility check alone would pass it).
-    const Matrix no_tokens(0, 12);
-    T_CHECK_THROWS(mha.forward(pool, no_tokens, no_tokens, no_tokens),
-                   std::invalid_argument);
-    const Matrix no_width(8, 0);
-    T_CHECK_THROWS(mha.forward(pool, no_width, no_width, no_width),
-                   std::invalid_argument);
-    // Empty keys with non-empty queries likewise.
-    const Matrix good_q = Matrix::randn(8, 12, rng);
-    const Matrix no_kv(0, 12);
-    T_CHECK_THROWS(mha.forward(pool, good_q, no_kv, no_kv),
-                   std::invalid_argument);
-}
-
-void
-testMultiHeadBatchMatchesPerImage()
-{
-    const size_t n = 23, heads = 3, dh = 8, dm = heads * dh, images = 4;
-    Rng rng(0x99d4);
-    const Batch qb = Batch::randn(images, n, dm, rng, 0.0f, 0.5f);
-    const Batch kb = Batch::randn(images, n, dm, rng, 0.0f, 0.5f);
-    const Batch vb = Batch::randn(images, n, dm, rng);
-
-    ThreadPool pool(4);
-    for (AttentionType type :
-         {AttentionType::Softmax, AttentionType::Taylor,
-          AttentionType::Unified}) {
-        MultiHeadAttention mha(makeAttention(type), heads);
-
-        // Batched output is bitwise-identical to B per-image forwards.
-        const Batch out = mha.forwardBatch(pool, qb, kb, vb);
-        T_CHECK(out.size() == images && out.rows() == n &&
-                out.cols() == dm);
-        for (size_t b = 0; b < images; ++b) {
-            const Matrix ref = mha.forward(pool, qb[b], kb[b], vb[b]);
-            T_CHECK(out[b] == ref);
-        }
-
-        // And to the sequential batch reference.
-        const Batch seq = mha.forwardBatchSequential(qb, kb, vb);
-        T_CHECK(out == seq);
-
-        // Recycled rerun stays identical.
-        const Batch out2 = mha.forwardBatch(pool, qb, kb, vb);
-        T_CHECK(out == out2);
-    }
-}
-
-void
-testMultiHeadBatchShapeValidation()
-{
-    ThreadPool pool(2);
-    MultiHeadAttention mha(makeAttention(AttentionType::Taylor), 2);
-    Rng rng(0x99e5);
-    const Batch q = Batch::randn(3, 9, 8, rng);
-    const Batch k = Batch::randn(2, 9, 8, rng); // batch size mismatch
-    T_CHECK_THROWS(mha.forwardBatch(pool, q, k, k),
-                   std::invalid_argument);
-    const Batch empty;
-    T_CHECK_THROWS(mha.forwardBatch(pool, empty, empty, empty),
-                   std::invalid_argument);
-
-    // An image reshaped behind the Batch's back is caught on entry.
-    Batch broken = Batch::randn(3, 9, 8, rng);
-    broken[1].resize(7, 8);
-    const Batch v = Batch::randn(3, 9, 8, rng);
-    T_CHECK_THROWS(mha.forwardBatch(pool, broken, v, v),
-                   std::invalid_argument);
+    // Zero tokens or zero width cannot reach the heads: a RaggedBatch
+    // refuses both when it is packed.
+    T_CHECK_THROWS(soloBatch(Matrix(0, 12)), std::invalid_argument);
+    T_CHECK_THROWS(soloBatch(Matrix(8, 0)), std::invalid_argument);
 }
 
 /**
@@ -455,29 +398,29 @@ testMultiHeadRejectsConcurrentCalls()
     MultiHeadAttention mha(kernel, 1);
     ThreadPool pool(2);
     Rng rng(0x99f6);
-    const Matrix q = Matrix::randn(4, 8, rng);
+    const RaggedBatch q = soloBatch(Matrix::randn(4, 8, rng));
 
     // First call parks inside the kernel on a pool worker...
     std::thread first([&] {
-        Matrix out;
-        mha.forwardInto(pool, q, q, q, out);
+        RaggedBatch out;
+        mha.forwardRaggedInto(pool, q, q, q, out);
     });
     kernel->waitEntered();
 
     // ...so a second call on the same instance must be refused rather
     // than silently sharing the per-worker contexts.
-    Matrix out2;
-    T_CHECK_THROWS(mha.forwardInto(pool, q, q, q, out2),
+    RaggedBatch out2;
+    T_CHECK_THROWS(mha.forwardRaggedInto(pool, q, q, q, out2),
                    std::logic_error);
-    T_CHECK_THROWS(mha.forwardSequentialInto(q, q, q, out2),
+    T_CHECK_THROWS(mha.forwardRaggedSequentialInto(q, q, q, out2),
                    std::logic_error);
 
     kernel->release();
     first.join();
 
     // Once the first call drains, the instance is usable again.
-    Matrix out3;
-    mha.forwardInto(pool, q, q, q, out3);
+    RaggedBatch out3;
+    mha.forwardRaggedInto(pool, q, q, q, out3);
     T_CHECK(out3 == q);
 }
 
@@ -496,8 +439,6 @@ main()
     testMultiHeadMatchesSequentialAndLegacy();
     testMultiHeadDeterministicAcrossPoolSizes();
     testMultiHeadShapeValidation();
-    testMultiHeadBatchMatchesPerImage();
-    testMultiHeadBatchShapeValidation();
     testMultiHeadRejectsConcurrentCalls();
     return vitality::testing::finish("test_runtime");
 }

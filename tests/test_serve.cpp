@@ -17,13 +17,13 @@
 
 #include <chrono>
 #include <future>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "attention/zoo.h"
 #include "base/rng.h"
-#include "model/request_batch.h"
 #include "model/token_pruner.h"
 #include "model/vit_config.h"
 #include "model/vit_encoder.h"
@@ -53,25 +53,6 @@ randomTokens(const VitConfig &cfg, uint64_t seed)
 {
     Rng rng(seed);
     return Matrix::randn(cfg.tokens, cfg.dModel, rng, 0.0f, 1.0f);
-}
-
-/**
- * The direct-forward twin of one served request: a single-image ragged
- * forward. This is the reference the serving layer promises bitwise
- * identity against — it honors whatever token-keep schedule is in
- * effect, so the identity assertions below hold unchanged when the
- * suite runs under a VITALITY_TOKENS pruning sweep (the CI keep-ratio
- * legs), where served outputs carry fewer rows than inputs.
- */
-Matrix
-refForward(VitEncoder &encoder, const Matrix &in, ThreadPool &pool)
-{
-    const Matrix *ptr = &in;
-    const RaggedBatch out =
-        encoder.forwardRagged(RaggedBatch::fromMatrices(&ptr, 1), pool);
-    Matrix img;
-    out.unpackImage(0, img);
-    return img;
 }
 
 // ---------------------------------------------------------------- zoo
@@ -105,42 +86,6 @@ testMakeAttentionThreshold()
     T_CHECK_THROWS(makeAttention(AttentionType::Taylor, 0.1f),
                    std::invalid_argument);
     T_CHECK_THROWS(makeAttention(AttentionType::Softmax, 0.1f),
-                   std::invalid_argument);
-}
-
-// ---------------------------------------------- pack/unpack helpers
-
-void
-testPackUnpack()
-{
-    Rng rng(7);
-    std::vector<Matrix> imgs;
-    for (int i = 0; i < 3; ++i)
-        imgs.push_back(Matrix::randn(4, 5, rng));
-    std::vector<const Matrix *> ptrs;
-    for (const Matrix &m : imgs)
-        ptrs.push_back(&m);
-
-    Batch packed;
-    packRequests(packed, ptrs.data(), ptrs.size());
-    T_CHECK(packed.size() == 3 && packed.rows() == 4 &&
-            packed.cols() == 5);
-    for (size_t i = 0; i < 3; ++i)
-        T_CHECK(packed[i] == imgs[i]);
-
-    Matrix out;
-    unpackImage(packed, 2, out);
-    T_CHECK(out == imgs[2]);
-    T_CHECK_THROWS(unpackImage(packed, 3, out), std::out_of_range);
-
-    T_CHECK_THROWS(packRequests(packed, ptrs.data(), 0),
-                   std::invalid_argument);
-    const Matrix odd(4, 6);
-    ptrs[1] = &odd;
-    T_CHECK_THROWS(packRequests(packed, ptrs.data(), ptrs.size()),
-                   std::invalid_argument);
-    ptrs[1] = nullptr;
-    T_CHECK_THROWS(packRequests(packed, ptrs.data(), ptrs.size()),
                    std::invalid_argument);
 }
 
@@ -269,9 +214,11 @@ testPolicyValidation()
 
 /**
  * The acceptance criterion: a request served through the batcher is
- * bitwise-identical to a direct single-image ragged forward with the
- * same config/kernel/seed — for EVERY kernel in the zoo, and
- * regardless of what the request was batched with.
+ * bitwise-identical to a direct single-image forward with the same
+ * config/kernel/seed — for EVERY kernel in the zoo, and regardless of
+ * what the request was batched with. Both sides honour the same
+ * token-keep schedule, so this holds under the VITALITY_TOKENS pruning
+ * legs too, where outputs carry fewer rows than inputs.
  */
 void
 testServedBitwiseIdentity()
@@ -282,8 +229,8 @@ testServedBitwiseIdentity()
         VitEncoder reference(cfg, makeAttention(type), 0xabc);
         const Matrix in0 = randomTokens(cfg, 11);
         const Matrix in1 = randomTokens(cfg, 22);
-        const Matrix want0 = refForward(reference, in0, pool);
-        const Matrix want1 = refForward(reference, in1, pool);
+        const Matrix want0 = reference.forward(in0, pool);
+        const Matrix want1 = reference.forward(in1, pool);
 
         VitEncoder served(cfg, makeAttention(type), 0xabc);
         BatchPolicy policy;
@@ -461,6 +408,37 @@ testSubmitShapeValidation()
 }
 
 /**
+ * computeMs times the forward alone: a batcher whose dispatch gate is
+ * held elsewhere (another model's forward, in a ModelServer) counts
+ * the wait as queueing.
+ */
+void
+testGateWaitCountsAsQueueing()
+{
+    // Tiny enough that the forward stays far below the 200 ms hold even
+    // in sanitizer builds.
+    const VitConfig cfg{"gate-tiny", 1, 1, 8, 5, 16, {}, {}};
+    ThreadPool pool(1);
+    VitEncoder encoder(cfg, makeAttention(AttentionType::Taylor));
+    std::mutex gate;
+    BatchPolicy policy;
+    policy.maxBatch = 1;
+    policy.maxWaitMicros = 0;
+    DynamicBatcher batcher(encoder, pool, policy, RuntimeOptions{}, &gate);
+
+    std::future<InferenceResponse> f;
+    {
+        std::lock_guard<std::mutex> hold(gate);
+        f = batcher.submit(randomTokens(cfg, 3));
+        std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    }
+    const InferenceResponse r = f.get();
+    T_CHECK(r.queueMs >= 200.0);
+    T_CHECK(r.computeMs < 200.0);
+    T_CHECK(r.totalMs >= r.queueMs + r.computeMs - 1e-6);
+}
+
+/**
  * Mixed token counts ride one batcher: every request's result equals
  * its own single-image ragged forward (whatever it was batched with),
  * and the token-level stats account for the accepted input rows.
@@ -481,7 +459,7 @@ testMixedTokenCountServing()
     }
     std::vector<Matrix> wants;
     for (const Matrix &in : inputs)
-        wants.push_back(refForward(reference, in, pool));
+        wants.push_back(reference.forward(in, pool));
 
     VitEncoder served(cfg, makeAttention(AttentionType::Taylor), 0x9);
     BatchPolicy policy;
@@ -534,7 +512,7 @@ testModelServerRegistryAndRouting()
     // And each equals its direct-encoder twin, bitwise.
     ThreadPool pool(2);
     VitEncoder ref(cfg, makeAttention(AttentionType::Taylor), 0x111);
-    T_CHECK(outT == refForward(ref, in, pool));
+    T_CHECK(outT == ref.forward(in, pool));
 
     T_CHECK_THROWS(server.submit("nope/Nope", in), ServeError);
     T_CHECK_THROWS(server.stats("nope/Nope"), ServeError);
@@ -601,7 +579,7 @@ testModelServerPinnedOptions()
     {
         setSparseExecMode(SparseExec::Dense);
         VitEncoder ref(cfg, makeAttention(AttentionType::Unified), 0x7);
-        wantDense = refForward(ref, in, pool);
+        wantDense = ref.forward(in, pool);
         setSparseExecMode(ambient);
     }
 
@@ -669,7 +647,7 @@ testConcurrentSubmitStress()
     ThreadPool refPool(2);
     VitEncoder ref(cfg, makeAttention(AttentionType::Taylor));
     const Matrix in = randomTokens(cfg, 13);
-    const Matrix want = refForward(ref, in, refPool);
+    const Matrix want = ref.forward(in, refPool);
 
     constexpr int kThreads = 4, kPerThread = 6;
     std::atomic<int> matches{0};
@@ -701,7 +679,6 @@ main()
 {
     testKernelNameRoundTrip();
     testMakeAttentionThreshold();
-    testPackUnpack();
     testLatencyReservoir();
     testRuntimeOptionsResolution();
     testParseHelpers();
@@ -712,6 +689,7 @@ main()
     testQueueFullRejection();
     testShutdownDrainsInFlight();
     testSubmitShapeValidation();
+    testGateWaitCountsAsQueueing();
     testMixedTokenCountServing();
     testModelServerRegistryAndRouting();
     testModelServerConfigValidation();
